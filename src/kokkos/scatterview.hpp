@@ -5,7 +5,10 @@
 //                  with O(100k) active threads duplication is infeasible),
 //   * Duplicated — one private replica per pool thread, combined by
 //                  contribute() (CPU default, best with modest thread counts),
-//   * Sequential — plain adds (serial host execution).
+//   * Sequential — plain adds, only on a serial space (kk::Host, or a
+//                  Device pool of one thread). On a threaded Device pool
+//                  plain adds would lose increments, so Sequential resolves
+//                  to Duplicated there and mode() reports Duplicated.
 // The access handle pattern matches Kokkos: create, access() inside the
 // kernel, contribute() after.
 #pragma once
@@ -35,7 +38,7 @@ class ScatterView {
 
   explicit ScatterView(target_view target,
                        ScatterMode mode = default_scatter_mode<Space>())
-      : target_(target), mode_(mode) {
+      : target_(target), mode_(resolve(mode)) {
     if (mode_ == ScatterMode::Duplicated) {
       const int nrep = ThreadPool::instance().concurrency();
       replicas_.assign(std::size_t(nrep), {});
@@ -48,6 +51,8 @@ class ScatterView {
     }
   }
 
+  /// The strategy in effect: a requested Sequential reports Duplicated on a
+  /// threaded Device pool.
   ScatterMode mode() const { return mode_; }
 
   class Access {
@@ -96,6 +101,16 @@ class ScatterView {
 
  private:
   friend class Access;
+
+  /// Duplicated is the strategy whose plain adds stay conflict-free when
+  /// several pool threads run the kernel.
+  static ScatterMode resolve(ScatterMode mode) {
+    if constexpr (Space::is_device)
+      if (mode == ScatterMode::Sequential &&
+          ThreadPool::instance().concurrency() > 1)
+        return ScatterMode::Duplicated;
+    return mode;
+  }
 
   T* slot(std::size_t i0, std::size_t i1, std::size_t i2) const {
     const target_view& v =

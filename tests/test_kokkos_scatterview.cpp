@@ -4,6 +4,7 @@
 
 #include "kokkos/core.hpp"
 #include "kokkos/scatterview.hpp"
+#include "kokkos/threadpool.hpp"
 
 namespace {
 
@@ -52,6 +53,24 @@ INSTANTIATE_TEST_SUITE_P(AllModes, ScatterModes,
 TEST(ScatterView, DefaultModesPerSpace) {
   EXPECT_EQ(kk::default_scatter_mode<kk::Device>(), kk::ScatterMode::Atomic);
   EXPECT_EQ(kk::default_scatter_mode<kk::Host>(), kk::ScatterMode::Sequential);
+}
+
+// Sequential's plain adds are kept only where one thread runs the kernel: on
+// a threaded Device pool the view resolves to Duplicated, on kk::Host and on
+// a one-thread pool it stays Sequential.
+TEST(ScatterView, SequentialResolvesToDuplicatedOnThreadedDevice) {
+  kk::View1D<double, kk::Device> dtarget("t", 4);
+  kk::ScatterView<double, 1, kk::Device> dsv(dtarget,
+                                             kk::ScatterMode::Sequential);
+  if (kk::ThreadPool::instance().concurrency() > 1)
+    EXPECT_EQ(dsv.mode(), kk::ScatterMode::Duplicated);
+  else
+    EXPECT_EQ(dsv.mode(), kk::ScatterMode::Sequential);
+
+  kk::View1D<double, kk::Host> htarget("h", 4);
+  kk::ScatterView<double, 1, kk::Host> hsv(htarget,
+                                           kk::ScatterMode::Sequential);
+  EXPECT_EQ(hsv.mode(), kk::ScatterMode::Sequential);
 }
 
 TEST(ScatterView, DuplicatedReusableAfterContribute) {
