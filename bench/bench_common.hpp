@@ -107,7 +107,7 @@ inline double atom_steps_per_second(
   return double(natoms) / gpu.total_seconds(ws);
 }
 
-/// Wall-clock a callable (median of `reps`, after one warmup).
+/// Wall-clock a callable: the fastest of `reps` runs, after one warmup.
 inline double time_seconds(const std::function<void()>& fn, int reps = 3) {
   fn();  // warmup
   double best = 1e300;

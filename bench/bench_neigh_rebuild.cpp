@@ -1,4 +1,4 @@
-// bench_neigh_rebuild — compares the two device fill strategies of the
+// bench_neigh_rebuild — compares the two fill strategies of the
 // neighbor build (docs/NEIGHBOR.md) across successive rebuilds of an
 // evolving melt:
 //   * count-then-fill — the two-traversal baseline: a count pass sizes the
@@ -20,7 +20,7 @@
 #include <string>
 
 #include "bench_common.hpp"
-#include "engine/neighbor_kokkos.hpp"
+#include "engine/neighbor.hpp"
 
 int main(int argc, char** argv) {
   bench::Metrics metrics("bench_neigh_rebuild");
@@ -44,13 +44,13 @@ int main(int argc, char** argv) {
   in.line("fix 1 all nve");
   in.line("run 0");  // setup: ghosts + initial list
 
-  mlk::NeighborKokkos retry, twopass;
-  for (mlk::NeighborKokkos* nk : {&retry, &twopass}) {
+  mlk::Neighbor retry, twopass;
+  for (mlk::Neighbor* nk : {&retry, &twopass}) {
     nk->cutoff = 2.5;
     nk->skin = sim.neighbor.skin;
     nk->style = mlk::NeighStyle::Full;
   }
-  twopass.strategy = mlk::DeviceFillStrategy::CountThenFill;
+  twopass.strategy = mlk::NeighFillStrategy::CountThenFill;
 
   mlk::perf::banner("Neighbor rebuild: count-then-fill vs resize-and-retry",
                     "all columns measured");
@@ -73,8 +73,8 @@ int main(int argc, char** argv) {
     mlk::Timer t0;
     retry.build(sim.atom, sim.domain);
     const double cold = t0.seconds();
-    const mlk::bigint dret = retry.nretries - prev_retries;
-    prev_retries = retry.nretries;
+    const mlk::bigint dret = retry.nretries() - prev_retries;
+    prev_retries = retry.nretries();
     if (r > 0) warm_retries += dret;
 
     // Steady-state re-fills on the identical configuration.

@@ -14,8 +14,6 @@
 //   pair_style <style> [args...]
 //   pair_coeff <args...>
 //   neighbor <skin> bin
-//   neighbor style <host|device>         (list build path, docs/NEIGHBOR.md;
-//                                         MLK_NEIGH env overrides)
 //   neigh_modify [every N] [delay N] [check yes|no]
 //   newton <on|off>
 //   overlap <on|off>                     (comm/compute overlap, see

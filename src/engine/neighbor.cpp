@@ -1,15 +1,11 @@
 #include "engine/neighbor.hpp"
 
 #include <algorithm>
-#include <cmath>
 
-#include "engine/neighbor_kokkos.hpp"
+#include "kokkos/core.hpp"
 #include "util/error.hpp"
 
 namespace mlk {
-
-Neighbor::Neighbor() = default;
-Neighbor::~Neighbor() = default;
 
 bigint NeighborList::total_pairs() const {
   auto& num = const_cast<NeighborList*>(this)->k_numneigh;
@@ -24,15 +20,6 @@ double NeighborList::avg_neighbors() const {
   return inum == 0 ? 0.0 : double(total_pairs()) / double(inum);
 }
 
-int BinGrid::coord_to_bin(const double* x) const {
-  int b[3];
-  for (int d = 0; d < 3; ++d) {
-    b[d] = int((x[d] - lo[d]) / binsize[d]);
-    b[d] = std::clamp(b[d], 0, nbin[d] - 1);
-  }
-  return index(b[0], b[1], b[2]);
-}
-
 void BinGrid::build(const Atom& atom, const Domain& domain, double cutghost) {
   for (int d = 0; d < 3; ++d) {
     lo[d] = domain.sublo[d] - cutghost;
@@ -44,45 +31,252 @@ void BinGrid::build(const Atom& atom, const Domain& domain, double cutghost) {
   bins.assign(std::size_t(nbin[0]) * nbin[1] * nbin[2], {});
   const auto x = atom.k_x.h_view;
   for (localint i = 0; i < atom.nall(); ++i) {
-    const double xi[3] = {x(std::size_t(i), 0), x(std::size_t(i), 1),
-                          x(std::size_t(i), 2)};
-    bins[std::size_t(coord_to_bin(xi))].push_back(i);
+    int b[3];
+    for (int d = 0; d < 3; ++d)
+      b[d] = std::clamp(int((x(std::size_t(i), std::size_t(d)) - lo[d]) /
+                            binsize[d]),
+                        0, nbin[d] - 1);
+    bins[std::size_t(index(b[0], b[1], b[2]))].push_back(i);
   }
 }
 
-NeighborKokkos& Neighbor::device_builder() {
-  if (!device_builder_) device_builder_ = std::make_unique<NeighborKokkos>();
-  return *device_builder_;
+namespace {
+
+// Keeps the allocation when the extents are unchanged, so a rebuild with the
+// same row count and capacity allocates nothing. A kept table is first
+// synced to the device: a host-side edit of the previous list
+// (canonicalize_rows) would otherwise be copied over the new device rows by
+// the next sync.
+template <int Rank>
+void reuse_or_realloc(kk::DualView<int, Rank>& v, std::size_t n0,
+                      std::size_t n1 = 0) {
+  bool same = v.is_allocated() && v.extent(0) == n0;
+  if constexpr (Rank == 2) same = same && v.extent(1) == n1;
+  if (same)
+    v.template sync<kk::Device>();
+  else
+    v.realloc(n0, n1);
 }
 
-bigint Neighbor::nretries() const {
-  return device_builder_ ? device_builder_->nretries : 0;
-}
+}  // namespace
 
 void Neighbor::build(const Atom& atom, const Domain& domain) {
-  if (build_path == NeighBuildPath::Device) {
-    NeighborKokkos& nk = device_builder();
-    nk.cutoff = cutoff;
-    nk.skin = skin;
-    nk.style = style;
-    nk.newton = newton;
-    nk.ghost_rows = ghost_rows;
-    nk.build_into(list, atom, domain);
-    ++nbuilds;
-    if (canonical) canonicalize_rows(atom);
-    return;
+  require(cutoff > 0.0, "neighbor cutoff not set");
+  require(!ghost_rows || style == NeighStyle::Full,
+          "ghost rows require a full neighbor list");
+  const double cutneigh = cutghost();
+  const double cutsq = cutneigh * cutneigh;
+
+  // Host-side binning (cheap, O(N)) staged into device views.
+  BinGrid grid;
+  grid.build(atom, domain, cutneigh);
+  int max_per_bin = 1;
+  for (const auto& b : grid.bins)
+    max_per_bin = std::max(max_per_bin, int(b.size()));
+  const std::size_t nbins = grid.bins.size();
+
+  kk::View2D<int, kk::Device> bin_atoms("neigh::bin_atoms", nbins,
+                                        std::size_t(max_per_bin));
+  kk::View1D<int, kk::Device> bin_count("neigh::bin_count", nbins);
+  for (std::size_t b = 0; b < nbins; ++b) {
+    bin_count(b) = int(grid.bins[b].size());
+    for (std::size_t k = 0; k < grid.bins[b].size(); ++k)
+      bin_atoms(b, k) = grid.bins[b][k];
   }
-  build_host(atom, domain);
+
+  // Atom data must be current on device.
+  const_cast<Atom&>(atom).sync<kk::Device>(X_MASK);
+  auto x = atom.k_x.d_view;
+  const localint nlocal = atom.nlocal;
+  const localint nrows = ghost_rows ? atom.nall() : nlocal;
+  const PairAcceptance accept(nlocal, style, newton);
+
+  const int nbx = grid.nbin[0], nby = grid.nbin[1], nbz = grid.nbin[2];
+  const double glo0 = grid.lo[0], glo1 = grid.lo[1], glo2 = grid.lo[2];
+  const double bs0 = grid.binsize[0], bs1 = grid.binsize[1],
+               bs2 = grid.binsize[2];
+
+  // Stencil walk shared by both strategies: bins in (bx, by, bz) ascending
+  // order, atoms in bin insertion order, so each row lists its neighbors in
+  // a deterministic order that does not depend on the strategy or on the
+  // thread count.
+  auto visit = [=](localint i, auto&& fn) {
+    const double xi0 = x(std::size_t(i), 0);
+    const double xi1 = x(std::size_t(i), 1);
+    const double xi2 = x(std::size_t(i), 2);
+    int bc0 = std::clamp(int((xi0 - glo0) / bs0), 0, nbx - 1);
+    int bc1 = std::clamp(int((xi1 - glo1) / bs1), 0, nby - 1);
+    int bc2 = std::clamp(int((xi2 - glo2) / bs2), 0, nbz - 1);
+    for (int bx = std::max(0, bc0 - 1); bx <= std::min(nbx - 1, bc0 + 1); ++bx)
+      for (int by = std::max(0, bc1 - 1); by <= std::min(nby - 1, bc1 + 1);
+           ++by)
+        for (int bz = std::max(0, bc2 - 1); bz <= std::min(nbz - 1, bc2 + 1);
+             ++bz) {
+          const std::size_t bin = std::size_t((bx * nby + by) * nbz + bz);
+          const int cnt = bin_count(bin);
+          for (int k = 0; k < cnt; ++k) {
+            const int j = bin_atoms(bin, std::size_t(k));
+            if (!accept(x, localint(i), localint(j))) continue;
+            const double dx = xi0 - x(std::size_t(j), 0);
+            const double dy = xi1 - x(std::size_t(j), 1);
+            const double dz = xi2 - x(std::size_t(j), 2);
+            if (dx * dx + dy * dy + dz * dz <= cutsq) fn(j);
+          }
+        }
+  };
+
+  list.style = style;
+  list.newton = newton;
+  list.inum = nlocal;
+  list.gnum = nrows - nlocal;
+
+  const std::size_t nrows_alloc = std::size_t(std::max<localint>(nrows, 1));
+  reuse_or_realloc(list.k_numneigh, nrows_alloc);
+  auto num = list.k_numneigh.d_view;
+
+  if (strategy == NeighFillStrategy::CountThenFill) {
+    // Baseline: traverse the stencil twice — once to size the table, once
+    // to fill it. Exact-fit allocation, no retries, double the work.
+    kk::parallel_for("Neighbor::count",
+                     kk::RangePolicy<kk::Device>(0, std::size_t(nrows)),
+                     [=](std::size_t i) {
+                       int c = 0;
+                       visit(localint(i), [&](int) { ++c; });
+                       num(i) = c;
+                     });
+    int maxn = 0;
+    kk::parallel_reduce_impl(
+        "Neighbor::maxneighs",
+        kk::RangePolicy<kk::Device>(0, std::size_t(nrows)),
+        [=](std::size_t i, int& m) {
+          if (num(i) > m) m = num(i);
+        },
+        kk::Max<int>(maxn));
+    if (maxn < 1) maxn = 1;
+    list.maxneighs = maxn;
+    reuse_or_realloc(list.k_neighbors, nrows_alloc, std::size_t(maxn));
+    auto neigh = list.k_neighbors.d_view;
+    kk::parallel_for("Neighbor::fill",
+                     kk::RangePolicy<kk::Device>(0, std::size_t(nrows)),
+                     [=](std::size_t i) {
+                       int c = 0;
+                       visit(localint(i), [&](int j) {
+                         neigh(i, std::size_t(c++)) = j;
+                       });
+                       num(i) = c;
+                     });
+  } else {
+    // Resize-and-retry: one traversal fills rows into a guessed-capacity
+    // table while counting the *full* row length; writes past capacity are
+    // dropped. A max-reduction then detects overflow, and only an
+    // overflowing build regrows the table (with headroom) and repeats the
+    // pass. The high-water capacity survives in maxneighs_hint, so repeated
+    // rebuilds of a quasi-stationary system never retry.
+    int capacity = maxneighs_hint;
+    if (capacity <= 0) {
+      // Cold start: ideal-gas row length at the density an average atom
+      // sees, sum(n_b^2) / (N * V_bin) over the bins, plus headroom. The
+      // mean density of the whole extended region would average in vacuum
+      // and undersize the guess for a droplet or a slab.
+      double nsq = 0.0;
+      for (const auto& b : grid.bins) nsq += double(b.size()) * double(b.size());
+      const double vbin = bs0 * bs1 * bs2;
+      const double rho =
+          atom.nall() > 0 ? nsq / (double(atom.nall()) * vbin) : 0.0;
+      constexpr double kPi = 3.14159265358979323846;
+      const double est = rho * 4.0 / 3.0 * kPi * cutneigh * cutneigh * cutneigh;
+      capacity = std::max(8, int(est * 1.2) + 1);
+    }
+    for (;;) {
+      reuse_or_realloc(list.k_neighbors, nrows_alloc, std::size_t(capacity));
+      auto neigh = list.k_neighbors.d_view;
+      const int cap = capacity;
+      kk::parallel_for("Neighbor::fill_retry",
+                       kk::RangePolicy<kk::Device>(0, std::size_t(nrows)),
+                       [=](std::size_t i) {
+                         int c = 0;
+                         visit(localint(i), [&](int j) {
+                           if (c < cap) neigh(i, std::size_t(c)) = j;
+                           ++c;
+                         });
+                         num(i) = c;  // full count: overflow detector
+                       });
+      int maxn = 0;
+      kk::parallel_reduce_impl(
+          "Neighbor::overflow_check",
+          kk::RangePolicy<kk::Device>(0, std::size_t(nrows)),
+          [=](std::size_t i, int& m) {
+            if (num(i) > m) m = num(i);
+          },
+          kk::Max<int>(maxn));
+      if (maxn <= capacity) break;
+      ++nretries_;
+      // ~12% headroom so steady-state density fluctuations stay under the
+      // high-water mark instead of forcing a retry every few rebuilds.
+      capacity = maxn + (maxn >> 3) + 1;
+    }
+    list.maxneighs = capacity;
+    maxneighs_hint = capacity;
+  }
+
+  list.k_neighbors.modify<kk::Device>();
+  list.k_numneigh.modify<kk::Device>();
+
+  // Interior/boundary partition of the owned rows: flag ghost-free rows,
+  // then a single parallel_scan packs interior rows (scan rank) and boundary
+  // rows (row index minus scan rank), each in ascending row order.
+  const std::size_t nloc_alloc = std::size_t(std::max<localint>(nlocal, 1));
+  reuse_or_realloc(list.k_interior, nloc_alloc);
+  reuse_or_realloc(list.k_boundary, nloc_alloc);
+  {
+    auto neigh = list.k_neighbors.d_view;
+    kk::View1D<int, kk::Device> ghost_free("neigh::ghost_free", nloc_alloc);
+    kk::parallel_for("Neighbor::flag_interior",
+                     kk::RangePolicy<kk::Device>(0, std::size_t(nlocal)),
+                     [=](std::size_t i) {
+                       int flag = 1;
+                       const int nn = num(i);
+                       for (int jj = 0; jj < nn; ++jj) {
+                         if (neigh(i, std::size_t(jj)) >= nlocal) {
+                           flag = 0;
+                           break;
+                         }
+                       }
+                       ghost_free(i) = flag;
+                     });
+    auto interior = list.k_interior.d_view;
+    auto boundary = list.k_boundary.d_view;
+    int ninterior = 0;
+    kk::parallel_scan(
+        "Neighbor::partition",
+        kk::RangePolicy<kk::Device>(0, std::size_t(nlocal)),
+        [=](std::size_t i, int& update, bool final) {
+          const int f = ghost_free(i);
+          if (final) {
+            if (f)
+              interior(std::size_t(update)) = int(i);
+            else
+              boundary(i - std::size_t(update)) = int(i);
+          }
+          update += f;
+        },
+        ninterior);
+    list.ninterior = ninterior;
+    list.nboundary = nlocal - ninterior;
+  }
+  list.k_interior.modify<kk::Device>();
+  list.k_boundary.modify<kk::Device>();
+
+  ++nbuilds;
   if (canonical) canonicalize_rows(atom);
 }
 
 void Neighbor::canonicalize_rows(const Atom& atom) {
-  // Both build paths emit bitwise-identical tables, so canonicalizing after
-  // either yields the same rows. Sorting is by (tag, x, y, z) of the
-  // neighbor: tags are storage-order invariant, and the coordinates break
-  // ties between distinct periodic images of the same tag (their positions
-  // differ by box lengths). The interior/boundary partition is unaffected —
-  // it lists row indices, not positions within rows.
+  // Sorting is by (tag, x, y, z) of the neighbor: tags are storage-order
+  // invariant, and the coordinates break ties between distinct periodic
+  // images of the same tag (their positions differ by box lengths). The
+  // interior/boundary partition is unaffected — it lists row indices, not
+  // positions within rows.
   list.k_neighbors.sync<kk::Host>();
   list.k_numneigh.sync<kk::Host>();
   auto neigh = list.k_neighbors.h_view;
@@ -107,103 +301,6 @@ void Neighbor::canonicalize_rows(const Atom& atom) {
       neigh(std::size_t(i), std::size_t(jj)) = row[std::size_t(jj)];
   }
   list.k_neighbors.modify<kk::Host>();
-}
-
-void Neighbor::build_host(const Atom& atom, const Domain& domain) {
-  require(cutoff > 0.0, "neighbor cutoff not set");
-  const double cutneigh = cutghost();
-  const double cutsq = cutneigh * cutneigh;
-
-  BinGrid grid;
-  grid.build(atom, domain, cutneigh);
-
-  const auto x = atom.k_x.h_view;
-  const localint nlocal = atom.nlocal;
-  require(!ghost_rows || style == NeighStyle::Full,
-          "ghost rows require a full neighbor list");
-  const localint nrows = ghost_rows ? atom.nall() : nlocal;
-  const PairAcceptance accept(nlocal, style, newton);
-
-  list.style = style;
-  list.newton = newton;
-  list.inum = nlocal;
-  list.gnum = nrows - nlocal;
-
-  // Pass 1: count per-atom neighbors.
-  std::vector<int> counts(std::size_t(std::max<localint>(nrows, 1)), 0);
-  auto for_candidates = [&](localint i, auto&& fn) {
-    const double xi[3] = {x(std::size_t(i), 0), x(std::size_t(i), 1),
-                          x(std::size_t(i), 2)};
-    int bc[3];
-    for (int d = 0; d < 3; ++d) {
-      bc[d] = std::clamp(int((xi[d] - grid.lo[d]) / grid.binsize[d]), 0,
-                         grid.nbin[d] - 1);
-    }
-    for (int bx = std::max(0, bc[0] - 1);
-         bx <= std::min(grid.nbin[0] - 1, bc[0] + 1); ++bx)
-      for (int by = std::max(0, bc[1] - 1);
-           by <= std::min(grid.nbin[1] - 1, bc[1] + 1); ++by)
-        for (int bz = std::max(0, bc[2] - 1);
-             bz <= std::min(grid.nbin[2] - 1, bc[2] + 1); ++bz)
-          for (int j : grid.bins[std::size_t(grid.index(bx, by, bz))]) {
-            if (!accept(x, i, j)) continue;
-            const double dx = xi[0] - x(std::size_t(j), 0);
-            const double dy = xi[1] - x(std::size_t(j), 1);
-            const double dz = xi[2] - x(std::size_t(j), 2);
-            if (dx * dx + dy * dy + dz * dz <= cutsq) fn(j);
-          }
-  };
-
-  int maxn = 0;
-  for (localint i = 0; i < nrows; ++i) {
-    int c = 0;
-    for_candidates(i, [&](int) { ++c; });
-    counts[std::size_t(i)] = c;
-    maxn = std::max(maxn, c);
-  }
-  list.maxneighs = maxn;
-
-  // Pass 2: fill the 2-D table.
-  list.k_neighbors.realloc(std::size_t(std::max<localint>(nrows, 1)),
-                           std::size_t(std::max(maxn, 1)));
-  list.k_numneigh.realloc(std::size_t(std::max<localint>(nrows, 1)));
-  auto neigh = list.k_neighbors.h_view;
-  auto num = list.k_numneigh.h_view;
-  for (localint i = 0; i < nrows; ++i) {
-    int c = 0;
-    for_candidates(i, [&](int j) { neigh(std::size_t(i), std::size_t(c++)) = j; });
-    num(std::size_t(i)) = c;
-  }
-  list.k_neighbors.modify<kk::Host>();
-  list.k_numneigh.modify<kk::Host>();
-
-  // Pass 3: partition owned rows into interior (no ghost neighbor) and
-  // boundary, enabling the overlapped force phase to start interior work
-  // before the halo exchange lands.
-  list.ninterior = 0;
-  list.nboundary = 0;
-  list.k_interior.realloc(std::size_t(std::max<localint>(nlocal, 1)));
-  list.k_boundary.realloc(std::size_t(std::max<localint>(nlocal, 1)));
-  auto interior = list.k_interior.h_view;
-  auto boundary = list.k_boundary.h_view;
-  for (localint i = 0; i < nlocal; ++i) {
-    bool ghost_free = true;
-    const int nn = num(std::size_t(i));
-    for (int jj = 0; jj < nn; ++jj) {
-      if (neigh(std::size_t(i), std::size_t(jj)) >= nlocal) {
-        ghost_free = false;
-        break;
-      }
-    }
-    if (ghost_free)
-      interior(std::size_t(list.ninterior++)) = i;
-    else
-      boundary(std::size_t(list.nboundary++)) = i;
-  }
-  list.k_interior.modify<kk::Host>();
-  list.k_boundary.modify<kk::Host>();
-
-  ++nbuilds;
 }
 
 bool Neighbor::wants_rebuild(bigint step, const Atom& atom) const {
@@ -272,13 +369,12 @@ NeighborList brute_force_list(const Atom& atom, const Domain& /*domain*/,
         rows[std::size_t(i)].push_back(j);
     }
   }
-  // maxneighs is the true max row length (host-build semantics: no floor);
-  // the table itself still allocates at least one column.
-  int maxn = 0;
+  // Exact fit, at least one column; maxneighs is the table's width.
+  int maxn = 1;
   for (const auto& r : rows) maxn = std::max(maxn, int(r.size()));
   out.maxneighs = maxn;
   out.k_neighbors.realloc(std::size_t(std::max<localint>(nrows, 1)),
-                          std::size_t(std::max(maxn, 1)));
+                          std::size_t(maxn));
   out.k_numneigh.realloc(std::size_t(std::max<localint>(nrows, 1)));
   for (localint i = 0; i < nrows; ++i) {
     out.k_numneigh.h_view(std::size_t(i)) = int(rows[std::size_t(i)].size());

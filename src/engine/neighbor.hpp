@@ -8,19 +8,20 @@
 //  * full — every atom lists all neighbors; forces are computed redundantly
 //    for both partners but no write conflicts or reverse comm occur.
 //
-// Two *build paths* produce the same list (docs/NEIGHBOR.md): the serial
-// host build (count-then-fill) and the device-parallel build
-// (single-pass fill with resize-and-retry, src/engine/neighbor_kokkos.*).
-// `Neighbor::build` routes by `build_path`; both paths share the
-// PairAcceptance functor below so their half-list tie-break can never
-// diverge, and both produce bitwise-identical tables.
+// One builder produces the list (docs/NEIGHBOR.md): atoms are binned on the
+// host, and the fill runs as a Device parallel_for over rows, one thread per
+// atom. The default fill is the paper's single-pass *resize-and-retry*: rows
+// are written straight into a table of guessed capacity while full counts
+// accumulate; an end-of-pass max-reduction detects overflow, and only then
+// is the table regrown and the pass repeated. The capacity high-water mark
+// persists across rebuilds (`maxneighs_hint`), so at steady state each
+// rebuild is one traversal and reuses the previous table.
 //
 // Storage is the 2-D neighbor table of Appendix B: a (natoms x maxneighs)
 // DualView plus a per-atom count, so no flattened index can overflow 32 bits.
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <vector>
 
 #include "engine/atom.hpp"
@@ -31,18 +32,15 @@ namespace mlk {
 
 enum class NeighStyle { Half, Full };
 
-///// Which builder `Neighbor::build` dispatches to: the serial host build or
-/// the device-parallel NeighborKokkos build. Selected by the
-/// `neighbor style host|device` input command or the MLK_NEIGH env var.
-enum class NeighBuildPath { Host, Device };
+/// Fill strategy of the build. ResizeRetry is the production path;
+/// CountThenFill is the two-traversal baseline kept for the §4.1 strategy
+/// comparison (bench_neigh_rebuild). Both produce identical lists.
+enum class NeighFillStrategy { ResizeRetry, CountThenFill };
 
-class NeighborKokkos;
-
-/// The pair-acceptance rule, shared verbatim by the host binned build, the
-/// device binned build, and the brute-force reference builder so the
-/// half-list tie-break is defined in exactly one place and the builders can
-/// never silently diverge. Templated on the x view so it inlines into both
-/// host (LayoutRight) and device (LayoutLeft) kernels.
+/// The pair-acceptance rule, shared verbatim by the binned build and the
+/// brute-force reference builder so the half-list tie-break is defined in
+/// exactly one place. Templated on the x view so it inlines into both host
+/// (LayoutRight) and device (LayoutLeft) loops.
 struct PairAcceptance {
   localint nlocal = 0;
   bool full = true;
@@ -76,7 +74,7 @@ struct NeighborList {
   bool newton = false;
   localint inum = 0;  // number of owned atoms with rows (== nlocal)
   localint gnum = 0;  // ghost atoms with rows (bonded styles, see ghost_rows)
-  int maxneighs = 0;
+  int maxneighs = 0;  // row capacity: k_neighbors.extent(1), at least 1
   kk::DualView<int, 2> k_neighbors;  // (inum+gnum, maxneighs) neighbor indices
   kk::DualView<int, 1> k_numneigh;   // (inum+gnum)
 
@@ -85,15 +83,14 @@ struct NeighborList {
   // atom is *interior* when every neighbor index is < nlocal, i.e. its force
   // row is independent of ghost positions and can be computed before (or
   // while) the halo exchange updates ghosts. All remaining owned atoms are
-  // *boundary*. ninterior + nboundary == inum always — both build paths
-  // populate the partition (tier-1 enforced).
+  // *boundary*. ninterior + nboundary == inum always (tier-1 enforced).
   kk::DualView<int, 1> k_interior;  // (ninterior) owned rows, ghost-free
   kk::DualView<int, 1> k_boundary;  // (nboundary) owned rows touching ghosts
   localint ninterior = 0;
   localint nboundary = 0;
 
   /// Total number of stored pairs (bigint: can exceed 2^31 at scale).
-  /// Syncs the counts to host first (the device build writes device-side).
+  /// Syncs the counts to host first (the build writes device-side).
   bigint total_pairs() const;
   double avg_neighbors() const;
 };
@@ -105,7 +102,6 @@ struct BinGrid {
   double binsize[3] = {1, 1, 1};
   std::vector<std::vector<int>> bins;  // atom indices per cell
 
-  int coord_to_bin(const double* x) const;
   void build(const Atom& atom, const Domain& domain, double cutghost);
   int index(int bx, int by, int bz) const {
     return (bx * nbin[1] + by) * nbin[2] + bz;
@@ -114,9 +110,6 @@ struct BinGrid {
 
 class Neighbor {
  public:
-  Neighbor();
-  ~Neighbor();
-
   double cutoff = 0.0;  // force cutoff (max over pair styles)
   double skin = 0.3;
   NeighStyle style = NeighStyle::Full;
@@ -125,9 +118,11 @@ class Neighbor {
   int delay = 0;      // never rebuild before N steps since last build
   bool check = true;  // only rebuild if an atom moved > skin/2
 
-  /// Host (serial count-then-fill) or Device (parallel resize-and-retry)
-  /// build; both populate `list` identically (docs/NEIGHBOR.md).
-  NeighBuildPath build_path = NeighBuildPath::Host;
+  NeighFillStrategy strategy = NeighFillStrategy::ResizeRetry;
+
+  /// Row-capacity high-water mark carried across rebuilds (0 = derive the
+  /// first guess from the binned density). Reset to re-measure cold builds.
+  int maxneighs_hint = 0;
 
   /// Also build rows for ghost atoms (full style only). Needed by bonded
   /// potentials (ReaxFF torsions walk bonds of bonded ghosts). Rows of
@@ -142,14 +137,16 @@ class Neighbor {
   /// traversal order becomes independent of atom storage order, which makes
   /// per-row force accumulation (full list, newton off) bitwise invariant
   /// under spatial sorting, migration, and rebalancing. Off by default: the
-  /// storage order the builders produce is itself deterministic and is the
+  /// storage order the build produces is itself deterministic and is the
   /// historical bitwise reference.
   bool canonical = false;
 
   double cutghost() const { return cutoff + skin; }
 
-  /// (Re)build the list for the current atom/ghost configuration, routed
-  /// through the host or device builder per `build_path`.
+  /// (Re)build the list for the current atom/ghost configuration on the
+  /// Device execution space. On return the list's device views are current
+  /// and marked modified; host readers sync on demand. A build whose row
+  /// count and capacity match the previous one reuses its table.
   void build(const Atom& atom, const Domain& domain);
 
   /// Rebuild decision for `step` (LAMMPS Neighbor::decide): a rebuild is
@@ -171,28 +168,26 @@ class Neighbor {
   /// Record positions at build time (basis for check_distance).
   void store_build_positions(const Atom& atom);
 
-  /// Device builder (created lazily), exposed for benches/tests that want
-  /// to tweak the fill strategy or inspect retry counters.
-  NeighborKokkos& device_builder();
-
-  /// Resize-and-retry overflow count of the device builder (0 on host path).
-  bigint nretries() const;
+  /// Number of overflow retries across all resize-and-retry builds. After
+  /// warm-up the capacity high-water mark makes further builds retry-free
+  /// (the acceptance criterion bench_neigh_rebuild measures).
+  bigint nretries() const { return nretries_; }
 
   NeighborList list;
   bigint nbuilds = 0;
   bigint ndanger = 0;       // dangerous builds (see note_dangerous)
   bigint last_build = 0;    // timestep of the last build
  private:
-  void build_host(const Atom& atom, const Domain& domain);
   void canonicalize_rows(const Atom& atom);
 
   std::vector<double> xhold_;  // positions at last build (3*nlocal)
-  std::unique_ptr<NeighborKokkos> device_builder_;
+  bigint nretries_ = 0;
 };
 
 /// Reference O(N^2) list builder used by tests to validate the binned
-/// builds. With `ghost_rows` it also fills rows for ghost atoms and sets
-/// gnum, mirroring the binned builders.
+/// build. With `ghost_rows` it also fills rows for ghost atoms and sets
+/// gnum, mirroring the binned build. Its table is an exact fit: maxneighs is
+/// the longest row, at least 1.
 NeighborList brute_force_list(const Atom& atom, const Domain& domain,
                               double cutoff, NeighStyle style, bool newton,
                               localint nlocal, bool ghost_rows = false);

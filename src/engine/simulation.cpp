@@ -22,17 +22,6 @@ Simulation::Simulation() {
   // MLK_SORT=<N> mirrors `sort every <N>` (0 = off), so CI smokes can turn
   // the spatial sort on without editing scripts.
   if (const char* s = std::getenv("MLK_SORT")) sorter.every = std::atoi(s);
-  // MLK_NEIGH=host|device mirrors the `neighbor style` input command, so CI
-  // smokes can flip the build path without editing scripts.
-  if (const char* s = std::getenv("MLK_NEIGH")) {
-    const std::string which(s);
-    if (which == "device")
-      neighbor.build_path = NeighBuildPath::Device;
-    else if (which == "host" || which.empty())
-      neighbor.build_path = NeighBuildPath::Host;
-    else
-      fatal("MLK_NEIGH: expected 'host' or 'device', got '" + which + "'");
-  }
 }
 
 Simulation::~Simulation() {
@@ -491,7 +480,6 @@ void Verlet::finish() {
   neigh.builds = sim.neighbor.nbuilds - nbuilds_before_;
   neigh.dangerous = sim.neighbor.ndanger - ndanger_before_;
   neigh.retries = sim.neighbor.nretries() - nretries_before_;
-  neigh.device = sim.neighbor.build_path == NeighBuildPath::Device;
 
   // Collective per-rank atom extremes for the imbalance summary line; must
   // run on every rank before breakdown()'s rank-0 print gate.

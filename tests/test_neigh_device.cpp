@@ -1,19 +1,17 @@
-// Device neighbor-build path wired into the engine (docs/NEIGHBOR.md):
-// `neighbor style device` / MLK_NEIGH routing, and bitwise identity of
-// trajectories built with the device list against the host list — serial
-// and decomposed over simmpi ranks, with comm/compute overlap off and on.
+// The Device neighbor build wired into the engine (docs/NEIGHBOR.md): the
+// list feeds host and device pair styles, trajectories are bitwise the same
+// with comm/compute overlap off and on (serial and decomposed over simmpi
+// ranks), and under spatial sorting and load balancing.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cmath>
-#include <cstdlib>
 #include <map>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "comm/simmpi.hpp"
-#include "engine/neighbor_kokkos.hpp"
 #include "test_helpers.hpp"
 
 namespace mlk {
@@ -54,41 +52,20 @@ void expect_bitwise(const Snapshot& a, const Snapshot& b) {
   EXPECT_NEAR(a.ke, b.ke, 1e-9 * std::abs(a.ke) + 1e-12);
 }
 
-TEST(NeighDevice, InputCommandSelectsBuildPath) {
+TEST(NeighDevice, NeighborCommandSetsSkin) {
   init_all();
   Simulation sim;
   Input in(sim);
-  EXPECT_EQ(sim.neighbor.build_path, NeighBuildPath::Host);
-  in.line("neighbor style device");
-  EXPECT_EQ(sim.neighbor.build_path, NeighBuildPath::Device);
-  in.line("neighbor style host");
-  EXPECT_EQ(sim.neighbor.build_path, NeighBuildPath::Host);
-  in.line("neighbor 0.4 bin");  // plain form still sets the skin
+  in.line("neighbor 0.4 bin");
   EXPECT_DOUBLE_EQ(sim.neighbor.skin, 0.4);
-  EXPECT_THROW(in.line("neighbor style gpu"), Error);
-}
-
-TEST(NeighDevice, EnvVarSelectsBuildPath) {
-  init_all();
-  setenv("MLK_NEIGH", "device", 1);
-  Simulation dev;
-  EXPECT_EQ(dev.neighbor.build_path, NeighBuildPath::Device);
-  setenv("MLK_NEIGH", "host", 1);
-  Simulation host;
-  EXPECT_EQ(host.neighbor.build_path, NeighBuildPath::Host);
-  setenv("MLK_NEIGH", "cuda", 1);
-  EXPECT_THROW(Simulation bad, Error);
-  unsetenv("MLK_NEIGH");
-  Simulation unset;
-  EXPECT_EQ(unset.neighbor.build_path, NeighBuildPath::Host);
+  EXPECT_THROW(in.line("neighbor style device"), Error);  // no such form
 }
 
 TEST(NeighDevice, EngineBuildPopulatesPartition) {
-  // Satellite of the stale-partition bug: the device build must leave the
-  // engine list with a valid interior/boundary partition, or the overlapped
-  // force phase would silently run on empty row sets.
+  // Satellite of the stale-partition bug: the build must leave the engine
+  // list with a valid interior/boundary partition, or the overlapped force
+  // phase would silently run on empty row sets.
   auto sim = make_lj_system(3, 0.8442, 0.05, "lj/cut/kk");
-  sim->neighbor.build_path = NeighBuildPath::Device;
   sim->setup();
   const NeighborList& l = sim->neighbor.list;
   EXPECT_EQ(l.ninterior + l.nboundary, l.inum);
@@ -96,10 +73,9 @@ TEST(NeighDevice, EngineBuildPopulatesPartition) {
   EXPECT_EQ(sim->neighbor.nbuilds, 1);
 }
 
-// One melt trajectory with every combination of build path x overlap.
-Snapshot run_serial_melt(NeighBuildPath path, bool overlap, int steps) {
+// One melt trajectory with overlap off or on.
+Snapshot run_serial_melt(bool overlap, int steps) {
   auto sim = make_lj_system(3, 0.8442, 0.02, "lj/cut/kk", 1.44);
-  sim->neighbor.build_path = path;
   sim->overlap_enabled = overlap;
   Input in(*sim);
   in.line("fix 1 all nve");
@@ -108,34 +84,40 @@ Snapshot run_serial_melt(NeighBuildPath path, bool overlap, int steps) {
   return snapshot(*sim);
 }
 
-TEST(NeighDevice, SerialMeltBitwiseMatchesHostBuild) {
-  const Snapshot host = run_serial_melt(NeighBuildPath::Host, false, 40);
-  const Snapshot device = run_serial_melt(NeighBuildPath::Device, false, 40);
-  expect_bitwise(host, device);
+TEST(NeighDevice, SerialMeltOverlapOnMatchesOff) {
+  expect_bitwise(run_serial_melt(false, 40), run_serial_melt(true, 40));
 }
 
-TEST(NeighDevice, SerialMeltBitwiseMatchesHostBuildWithOverlap) {
-  const Snapshot host = run_serial_melt(NeighBuildPath::Host, true, 40);
-  const Snapshot device = run_serial_melt(NeighBuildPath::Device, true, 40);
-  expect_bitwise(host, device);
-}
-
-TEST(NeighDevice, PlainHostPairStyleRunsOnDeviceList) {
+TEST(NeighDevice, PlainHostPairStyleReadsDeviceList) {
   // A non-kokkos pair style consumes the device-built list through the
-  // DualView sync machinery: trajectories must not depend on the build path.
-  auto host = make_lj_system(2, 0.8442, 0.03, "lj/cut", 1.44);
-  auto dev = make_lj_system(2, 0.8442, 0.03, "lj/cut", 1.44);
-  dev->neighbor.build_path = NeighBuildPath::Device;
-  for (Simulation* sim : {host.get(), dev.get()}) {
-    Input in(*sim);
-    in.line("fix 1 all nve");
-    in.line("run 20");
-  }
-  expect_bitwise(snapshot(*host), snapshot(*dev));
+  // DualView sync machinery: its forces match those it computes from the
+  // brute-force list of the same configuration.
+  auto sim = make_lj_system(2, 0.8442, 0.03, "lj/cut", 1.44);
+  sim->setup();
+  sim->compute_forces(/*eflag=*/true);
+  sim->atom.sync<kk::Host>(F_MASK);
+  const auto nlocal = std::size_t(sim->atom.nlocal);
+  std::vector<double> f_binned(3 * nlocal);
+  for (std::size_t i = 0; i < nlocal; ++i)
+    for (std::size_t d = 0; d < 3; ++d)
+      f_binned[3 * i + d] = sim->atom.k_f.h_view(i, d);
+  const double pe_binned = sim->potential_energy();
+
+  const Neighbor& n = sim->neighbor;
+  sim->neighbor.list = brute_force_list(sim->atom, sim->domain, n.cutghost(),
+                                        n.style, n.newton, sim->atom.nlocal);
+  sim->compute_forces(/*eflag=*/true);
+  sim->atom.sync<kk::Host>(F_MASK);
+  for (std::size_t i = 0; i < nlocal; ++i)
+    for (std::size_t d = 0; d < 3; ++d)
+      EXPECT_NEAR(sim->atom.k_f.h_view(i, d), f_binned[3 * i + d], 1e-10)
+          << "atom " << i << " dim " << d;
+  EXPECT_NEAR(sim->potential_energy(), pe_binned,
+              1e-10 * std::abs(pe_binned));
 }
 
-std::vector<Snapshot> run_multirank_melt(int nranks, NeighBuildPath path,
-                                         bool overlap, int steps) {
+std::vector<Snapshot> run_multirank_melt(int nranks, bool overlap,
+                                         int steps) {
   init_all();
   std::vector<Snapshot> out(static_cast<std::size_t>(nranks));
   std::mutex mu;
@@ -143,7 +125,6 @@ std::vector<Snapshot> run_multirank_melt(int nranks, NeighBuildPath path,
   world.run([&](simmpi::Comm& comm) {
     Simulation sim;
     sim.mpi = &comm;
-    sim.neighbor.build_path = path;
     sim.overlap_enabled = overlap;
     sim.thermo.print = false;
     Input in(sim);
@@ -165,31 +146,22 @@ std::vector<Snapshot> run_multirank_melt(int nranks, NeighBuildPath path,
   return out;
 }
 
-TEST(NeighDevice, TwoRankMeltBitwiseMatchesHostBuild) {
-  const auto host = run_multirank_melt(2, NeighBuildPath::Host, false, 30);
-  const auto device = run_multirank_melt(2, NeighBuildPath::Device, false, 30);
-  ASSERT_EQ(host.size(), device.size());
-  for (std::size_t r = 0; r < host.size(); ++r)
-    expect_bitwise(host[r], device[r]);
+TEST(NeighDevice, TwoRankMeltOverlapOnMatchesOff) {
+  const auto off = run_multirank_melt(2, false, 30);
+  const auto on = run_multirank_melt(2, true, 30);
+  ASSERT_EQ(off.size(), on.size());
+  for (std::size_t r = 0; r < off.size(); ++r) expect_bitwise(off[r], on[r]);
 }
 
-TEST(NeighDevice, TwoRankMeltBitwiseMatchesHostBuildWithOverlap) {
-  const auto host = run_multirank_melt(2, NeighBuildPath::Host, true, 30);
-  const auto device = run_multirank_melt(2, NeighBuildPath::Device, true, 30);
-  ASSERT_EQ(host.size(), device.size());
-  for (std::size_t r = 0; r < host.size(); ++r)
-    expect_bitwise(host[r], device[r]);
-}
-
-// --- sort x balance x build-path bitwise sweep ------------------------------
+// --- sort x balance bitwise sweep -------------------------------------------
 //
 // Spatial sorting permutes storage order and `balance rcb` permutes atom
 // *ownership*; with canonical neighbor rows (neigh_modify canonical yes) a
 // trajectory must not depend on either (docs/DECOMPOSITION.md "bitwise
 // policy"). The sweep runs melt (uniform) and droplet (vacuum-gap lattice,
-// examples/in.droplet) under every combination of build path x sort x
-// balance x rank count and compares per-tag positions/velocities exactly
-// against the plain host/sort-off/balance-off reference.
+// examples/in.droplet) under every combination of sort x balance x rank
+// count and compares per-tag positions/velocities exactly against the
+// sort-off/balance-off reference.
 
 struct GlobalSnapshot {
   std::map<tagint, std::array<double, 6>> atoms;  // tag -> x[3], v[3]
@@ -198,7 +170,6 @@ struct GlobalSnapshot {
 
 struct SweepConfig {
   bool droplet = false;
-  NeighBuildPath path = NeighBuildPath::Host;
   bool sort = false;
   bool balance = false;
 };
@@ -211,7 +182,6 @@ GlobalSnapshot run_sweep(int nranks, const SweepConfig& cfg, int steps) {
   world.run([&](simmpi::Comm& comm) {
     Simulation sim;
     sim.mpi = &comm;
-    sim.neighbor.build_path = cfg.path;
     sim.thermo.print = false;
     Input in(sim);
     in.line("units lj");
@@ -277,33 +247,28 @@ void sweep_scenario(bool droplet, int steps) {
     refcfg.droplet = droplet;
     const GlobalSnapshot ref = run_sweep(nranks, refcfg, steps);
     ASSERT_FALSE(ref.atoms.empty());
-    for (const NeighBuildPath path :
-         {NeighBuildPath::Host, NeighBuildPath::Device}) {
-      for (const bool sort : {false, true}) {
-        for (const bool balance : {false, true}) {
-          if (path == NeighBuildPath::Host && !sort && !balance) continue;
-          SweepConfig cfg;
-          cfg.droplet = droplet;
-          cfg.path = path;
-          cfg.sort = sort;
-          cfg.balance = balance;
-          const std::string what =
-              std::string(droplet ? "droplet" : "melt") + " ranks=" +
-              std::to_string(nranks) +
-              (path == NeighBuildPath::Device ? " device" : " host") +
-              (sort ? " sort" : "") + (balance ? " balance" : "");
-          expect_same_trajectory(ref, run_sweep(nranks, cfg, steps), what);
-        }
+    for (const bool sort : {false, true}) {
+      for (const bool balance : {false, true}) {
+        if (!sort && !balance) continue;
+        SweepConfig cfg;
+        cfg.droplet = droplet;
+        cfg.sort = sort;
+        cfg.balance = balance;
+        const std::string what =
+            std::string(droplet ? "droplet" : "melt") + " ranks=" +
+            std::to_string(nranks) + (sort ? " sort" : "") +
+            (balance ? " balance" : "");
+        expect_same_trajectory(ref, run_sweep(nranks, cfg, steps), what);
       }
     }
   }
 }
 
-TEST(SortBalanceSweep, MeltBitwiseAcrossSortBalancePathsAndRanks) {
+TEST(SortBalanceSweep, MeltBitwiseAcrossSortBalanceAndRanks) {
   sweep_scenario(/*droplet=*/false, 30);
 }
 
-TEST(SortBalanceSweep, DropletBitwiseAcrossSortBalancePathsAndRanks) {
+TEST(SortBalanceSweep, DropletBitwiseAcrossSortBalanceAndRanks) {
   sweep_scenario(/*droplet=*/true, 30);
 }
 

@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <mutex>
 #include <set>
 #include <string>
 #include <tuple>
 #include <vector>
 
-#include "engine/neighbor_kokkos.hpp"
+#include "comm/simmpi.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
 
@@ -46,7 +47,7 @@ std::vector<std::vector<int>> rows_sorted(const NeighborList& list) {
 }
 
 // Exact row-wise table (original order), for the bitwise-order contract
-// between the host and device binned builds.
+// between the two fill strategies.
 std::vector<std::vector<int>> rows_exact(const NeighborList& list) {
   auto& l = const_cast<NeighborList&>(list);
   l.k_neighbors.sync<kk::Host>();
@@ -57,6 +58,31 @@ std::vector<std::vector<int>> rows_exact(const NeighborList& list) {
       out[std::size_t(i)].push_back(
           l.k_neighbors.h_view(std::size_t(i), std::size_t(c)));
   return out;
+}
+
+// Checks the interior/boundary partition against one recomputed from the
+// rows: interior lists, in ascending order, exactly the owned rows whose
+// neighbors are all owned; boundary lists the rest.
+void expect_partition_matches_rows(const NeighborList& list) {
+  auto& l = const_cast<NeighborList&>(list);
+  ASSERT_EQ(l.ninterior + l.nboundary, l.inum);
+  const auto rows = rows_exact(l);
+  std::vector<int> interior, boundary;
+  for (localint i = 0; i < l.inum; ++i) {
+    const auto& row = rows[std::size_t(i)];
+    const bool ghost_free = std::all_of(row.begin(), row.end(),
+                                        [&](int j) { return j < l.inum; });
+    (ghost_free ? interior : boundary).push_back(int(i));
+  }
+  l.k_interior.sync<kk::Host>();
+  l.k_boundary.sync<kk::Host>();
+  std::vector<int> got_interior, got_boundary;
+  for (localint k = 0; k < l.ninterior; ++k)
+    got_interior.push_back(l.k_interior.h_view(std::size_t(k)));
+  for (localint k = 0; k < l.nboundary; ++k)
+    got_boundary.push_back(l.k_boundary.h_view(std::size_t(k)));
+  EXPECT_EQ(got_interior, interior);
+  EXPECT_EQ(got_boundary, boundary);
 }
 
 struct NeighCase {
@@ -80,25 +106,7 @@ TEST_P(NeighborStyles, BinnedMatchesBruteForce) {
                               sim->atom.nlocal);
   EXPECT_EQ(list_pairs(sim->neighbor.list), list_pairs(ref));
   EXPECT_GT(sim->neighbor.list.total_pairs(), 0);
-}
-
-TEST_P(NeighborStyles, DeviceBuildMatchesHostBuild) {
-  auto sim = make_lj_system(3, 0.8442, 0.08);
-  sim->neighbor.style = GetParam().style;
-  sim->neighbor.newton = GetParam().newton;
-  sim->neighbor.cutoff = 2.5;
-  sim->comm.cutghost = sim->neighbor.cutghost();
-  sim->comm.borders(sim->atom, sim->domain);
-  sim->neighbor.build(sim->atom, sim->domain);
-
-  NeighborKokkos nk;
-  nk.cutoff = 2.5;
-  nk.skin = sim->neighbor.skin;
-  nk.style = GetParam().style;
-  nk.newton = GetParam().newton;
-  nk.build(sim->atom, sim->domain);
-
-  EXPECT_EQ(list_pairs(sim->neighbor.list), list_pairs(nk.list));
+  expect_partition_matches_rows(sim->neighbor.list);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -144,6 +152,8 @@ TEST(Neighbor, HalfNewtonOnEachPairAppearsOnceGlobally) {
   // Map ghosts back to owners by tag; every unordered owner-pair + image
   // must appear exactly once in a half newton-on list.
   auto& l = sim->neighbor.list;
+  l.k_neighbors.sync<kk::Host>();
+  l.k_numneigh.sync<kk::Host>();
   auto tagv = sim->atom.k_tag.h_view;
   auto xv = sim->atom.k_x.h_view;
   std::set<std::tuple<tagint, tagint, long, long, long>> seen;
@@ -190,20 +200,21 @@ TEST(Neighbor, TwoDTableRowsAreBounded) {
   sim->comm.borders(sim->atom, sim->domain);
   sim->neighbor.build(sim->atom, sim->domain);
   auto& l = sim->neighbor.list;
+  l.k_numneigh.sync<kk::Host>();
   EXPECT_EQ(l.k_neighbors.extent(0), std::size_t(l.inum));
   EXPECT_EQ(l.k_neighbors.extent(1), std::size_t(l.maxneighs));
   for (localint i = 0; i < l.inum; ++i)
     EXPECT_LE(l.k_numneigh.h_view(std::size_t(i)), l.maxneighs);
 }
 
-// --- Host/device/brute-force equivalence sweep (docs/NEIGHBOR.md) --------
+// --- Build/brute-force equivalence sweep (docs/NEIGHBOR.md) --------------
 //
 // Sweeps {half, full} x {newton on, off} x {ghost_rows} on a randomized box
-// and checks three contracts at once:
-//  * device rows == host rows *in order* (the bitwise-identity contract),
-//  * both match brute_force_list up to within-row ordering,
-//  * both paths populate the interior/boundary partition identically and
-//    ninterior + nboundary == inum (regression for the stale-partition bug).
+// and checks two contracts at once:
+//  * the rows match brute_force_list up to within-row ordering,
+//  * the interior/boundary partition equals one recomputed from the rows,
+//    so ninterior + nboundary == inum (regression for the stale-partition
+//    bug).
 struct EquivCase {
   NeighStyle style;
   bool newton;
@@ -212,7 +223,7 @@ struct EquivCase {
 
 class NeighborEquivalence : public ::testing::TestWithParam<EquivCase> {};
 
-TEST_P(NeighborEquivalence, HostDeviceBruteForceAgree) {
+TEST_P(NeighborEquivalence, BuildMatchesBruteForce) {
   const EquivCase p = GetParam();
   auto sim = make_lj_system(3, 0.8442, 0.08);
   auto& n = sim->neighbor;
@@ -222,36 +233,13 @@ TEST_P(NeighborEquivalence, HostDeviceBruteForceAgree) {
   n.cutoff = 2.5;
   sim->comm.cutghost = n.cutghost();
   sim->comm.borders(sim->atom, sim->domain);
-
-  n.build_path = NeighBuildPath::Host;
   n.build(sim->atom, sim->domain);
-  const auto host_rows = rows_exact(n.list);
-  const localint host_gnum = n.list.gnum;
-  const localint host_ninterior = n.list.ninterior;
-  n.list.k_interior.sync<kk::Host>();
-  std::vector<int> host_interior;
-  for (localint i = 0; i < n.list.ninterior; ++i)
-    host_interior.push_back(n.list.k_interior.h_view(std::size_t(i)));
-  ASSERT_EQ(n.list.ninterior + n.list.nboundary, n.list.inum);
-
-  n.build_path = NeighBuildPath::Device;
-  n.build(sim->atom, sim->domain);
-  EXPECT_EQ(n.list.gnum, host_gnum);
-  EXPECT_EQ(rows_exact(n.list), host_rows) << "device rows differ from host";
-
-  // Partition: same size, same members, and it covers every owned row.
-  EXPECT_EQ(n.list.ninterior + n.list.nboundary, n.list.inum);
-  EXPECT_EQ(n.list.ninterior, host_ninterior);
-  n.list.k_interior.sync<kk::Host>();
-  std::vector<int> dev_interior;
-  for (localint i = 0; i < n.list.ninterior; ++i)
-    dev_interior.push_back(n.list.k_interior.h_view(std::size_t(i)));
-  EXPECT_EQ(dev_interior, host_interior);
 
   auto ref = brute_force_list(sim->atom, sim->domain, n.cutghost(), p.style,
                               p.newton, sim->atom.nlocal, p.ghost_rows);
-  EXPECT_EQ(ref.gnum, host_gnum);
+  EXPECT_EQ(n.list.gnum, ref.gnum);
   EXPECT_EQ(rows_sorted(n.list), rows_sorted(ref));
+  expect_partition_matches_rows(n.list);
   if (p.ghost_rows) {
     EXPECT_GT(n.list.gnum, 0);
   }
@@ -273,7 +261,7 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-TEST(Neighbor, HalfGhostRowsRejectedOnBothPaths) {
+TEST(Neighbor, HalfGhostRowsRejected) {
   auto sim = make_lj_system(2, 0.8442, 0.0);
   auto& n = sim->neighbor;
   n.style = NeighStyle::Half;
@@ -281,17 +269,13 @@ TEST(Neighbor, HalfGhostRowsRejectedOnBothPaths) {
   n.cutoff = 2.5;
   sim->comm.cutghost = n.cutghost();
   sim->comm.borders(sim->atom, sim->domain);
-
-  n.build_path = NeighBuildPath::Host;
-  EXPECT_THROW(n.build(sim->atom, sim->domain), Error);
-  n.build_path = NeighBuildPath::Device;
   EXPECT_THROW(n.build(sim->atom, sim->domain), Error);
 }
 
-TEST(Neighbor, BruteForceMaxneighsMatchesHostSemantics) {
+TEST(Neighbor, MaxneighsIsTableWidth) {
   // With a cutoff shorter than the nearest-neighbor distance every row is
-  // empty: both builders must report maxneighs == 0 (true max, no floor)
-  // while still allocating a 1-column table.
+  // empty. Both builders still report maxneighs as the width of the table
+  // they allocated, which has at least one column.
   auto sim = make_lj_system(2, 0.8442, 0.0);
   auto& n = sim->neighbor;
   n.cutoff = 0.1;
@@ -302,87 +286,184 @@ TEST(Neighbor, BruteForceMaxneighsMatchesHostSemantics) {
 
   auto ref = brute_force_list(sim->atom, sim->domain, n.cutghost(),
                               NeighStyle::Full, false, sim->atom.nlocal);
-  EXPECT_EQ(n.list.maxneighs, 0);
-  EXPECT_EQ(ref.maxneighs, 0);
-  EXPECT_EQ(ref.k_neighbors.extent(1), std::size_t(1));
+  for (const NeighborList* l : {&n.list, &ref}) {
+    EXPECT_EQ(l->k_neighbors.extent(1), std::size_t(l->maxneighs));
+    EXPECT_GE(l->maxneighs, 1);
+  }
+  EXPECT_EQ(ref.maxneighs, 1);
   EXPECT_EQ(n.list.total_pairs(), 0);
   EXPECT_EQ(ref.total_pairs(), 0);
 }
 
-// --- Resize-and-retry (device fill strategy) ------------------------------
+// --- Resize-and-retry fill --------------------------------------------------
 
-TEST(NeighborKokkos, ResizeRetryAmortizesAcrossRebuilds) {
+TEST(Neighbor, ResizeRetryAmortizesAcrossRebuilds) {
   auto sim = make_lj_system(3, 0.8442, 0.08);
   sim->neighbor.cutoff = 2.5;
   sim->comm.cutghost = sim->neighbor.cutghost();
   sim->comm.borders(sim->atom, sim->domain);
 
-  NeighborKokkos nk;
-  nk.cutoff = 2.5;
-  nk.skin = sim->neighbor.skin;
-  nk.style = NeighStyle::Full;
-  nk.build(sim->atom, sim->domain);
-  const bigint cold_retries = nk.nretries;
-  EXPECT_GT(nk.maxneighs_hint, 0);
+  Neighbor n;
+  n.cutoff = 2.5;
+  n.skin = sim->neighbor.skin;
+  n.style = NeighStyle::Full;
+  n.build(sim->atom, sim->domain);
+  const bigint cold_retries = n.nretries();
+  EXPECT_GT(n.maxneighs_hint, 0);
 
   // Steady state: the high-water capacity from the first build makes every
   // later build of the same configuration retry-free.
   for (int rep = 0; rep < 3; ++rep)
-    nk.build(sim->atom, sim->domain);
-  EXPECT_EQ(nk.nretries, cold_retries);
-  EXPECT_EQ(nk.nbuilds, 4);
+    n.build(sim->atom, sim->domain);
+  EXPECT_EQ(n.nretries(), cold_retries);
+  EXPECT_EQ(n.nbuilds, 4);
 
   // The hint covers the largest actual row.
-  nk.list.k_numneigh.sync<kk::Host>();
+  n.list.k_numneigh.sync<kk::Host>();
   int true_max = 0;
-  for (localint i = 0; i < nk.list.inum; ++i)
-    true_max = std::max(true_max, nk.list.k_numneigh.h_view(std::size_t(i)));
-  EXPECT_GE(nk.maxneighs_hint, true_max);
+  for (localint i = 0; i < n.list.inum; ++i)
+    true_max = std::max(true_max, n.list.k_numneigh.h_view(std::size_t(i)));
+  EXPECT_GE(n.maxneighs_hint, true_max);
 }
 
-TEST(NeighborKokkos, UndersizedHintRetriesThenRecovers) {
+TEST(Neighbor, UndersizedHintRetriesThenRecovers) {
   auto sim = make_lj_system(3, 0.8442, 0.05);
   sim->neighbor.cutoff = 2.5;
   sim->comm.cutghost = sim->neighbor.cutghost();
   sim->comm.borders(sim->atom, sim->domain);
 
-  NeighborKokkos nk;
-  nk.cutoff = 2.5;
-  nk.skin = sim->neighbor.skin;
-  nk.style = NeighStyle::Full;
-  nk.maxneighs_hint = 2;  // deliberately far too small
-  nk.build(sim->atom, sim->domain);
-  EXPECT_GE(nk.nretries, 1);
-  EXPECT_GT(nk.maxneighs_hint, 2);
+  Neighbor n;
+  n.cutoff = 2.5;
+  n.skin = sim->neighbor.skin;
+  n.style = NeighStyle::Full;
+  n.maxneighs_hint = 2;  // deliberately far too small
+  n.build(sim->atom, sim->domain);
+  EXPECT_GE(n.nretries(), 1);
+  EXPECT_GT(n.maxneighs_hint, 2);
 
-  // Overflow never corrupted the list: it matches the host build.
-  auto& host = sim->neighbor;
-  host.build(sim->atom, sim->domain);
-  EXPECT_EQ(rows_exact(nk.list), rows_exact(host.list));
+  // Overflow never corrupted the list: it matches the brute-force rows.
+  auto ref = brute_force_list(sim->atom, sim->domain, n.cutghost(),
+                              NeighStyle::Full, false, sim->atom.nlocal);
+  EXPECT_EQ(rows_sorted(n.list), rows_sorted(ref));
+  expect_partition_matches_rows(n.list);
 
-  const bigint after_cold = nk.nretries;
-  nk.build(sim->atom, sim->domain);
-  EXPECT_EQ(nk.nretries, after_cold);  // grown capacity sticks
+  const bigint after_cold = n.nretries();
+  n.build(sim->atom, sim->domain);
+  EXPECT_EQ(n.nretries(), after_cold);  // grown capacity sticks
 }
 
-TEST(NeighborKokkos, FillStrategiesProduceIdenticalLists) {
+TEST(Neighbor, FillStrategiesProduceIdenticalLists) {
   auto sim = make_lj_system(3, 0.8442, 0.08);
   sim->neighbor.cutoff = 2.5;
   sim->comm.cutghost = sim->neighbor.cutghost();
   sim->comm.borders(sim->atom, sim->domain);
 
-  NeighborKokkos retry, baseline;
-  for (NeighborKokkos* nk : {&retry, &baseline}) {
-    nk->cutoff = 2.5;
-    nk->skin = sim->neighbor.skin;
-    nk->style = NeighStyle::Half;
-    nk->newton = true;
+  Neighbor retry, baseline;
+  for (Neighbor* n : {&retry, &baseline}) {
+    n->cutoff = 2.5;
+    n->skin = sim->neighbor.skin;
+    n->style = NeighStyle::Half;
+    n->newton = true;
   }
-  baseline.strategy = DeviceFillStrategy::CountThenFill;
+  baseline.strategy = NeighFillStrategy::CountThenFill;
   retry.build(sim->atom, sim->domain);
   baseline.build(sim->atom, sim->domain);
   EXPECT_EQ(rows_exact(retry.list), rows_exact(baseline.list));
-  EXPECT_EQ(baseline.nretries, 0);  // count-then-fill never retries
+  EXPECT_EQ(baseline.nretries(), 0);  // count-then-fill never retries
+}
+
+// A rebuild with the same row count and capacity keeps the table: no
+// reallocation, and the rows are the brute-force rows of the new positions —
+// also after a canonical build left host-side edits of the old rows behind,
+// which must not reach a device reader of the new rows.
+TEST(Neighbor, RebuildReusesTableOfSameShape) {
+  for (const bool canonical_first : {false, true}) {
+    SCOPED_TRACE(canonical_first ? "after a canonical build" : "plain");
+    auto sim = make_lj_system(3, 0.8442, 0.08);
+    auto& n = sim->neighbor;
+    n.style = NeighStyle::Full;
+    n.cutoff = 2.5;
+    n.canonical = canonical_first;
+    sim->comm.cutghost = n.cutghost();
+    sim->comm.borders(sim->atom, sim->domain);
+    n.build(sim->atom, sim->domain);
+    const int* dev_rows = n.list.k_neighbors.d_view.data();
+    const int* host_rows = n.list.k_neighbors.h_view.data();
+    const int* dev_num = n.list.k_numneigh.d_view.data();
+
+    // Move the atoms by less than skin/2 so rows change but the table
+    // shape does not.
+    sim->atom.sync<kk::Host>(X_MASK);
+    auto x = sim->atom.k_x.h_view;
+    for (localint i = 0; i < sim->atom.nlocal; ++i) {
+      x(std::size_t(i), 0) += 0.1 * std::sin(double(i));
+      x(std::size_t(i), 1) += 0.1 * std::cos(double(i));
+    }
+    sim->atom.modified<kk::Host>(X_MASK);
+    sim->atom.clear_ghosts();
+    sim->comm.exchange(sim->atom, sim->domain);
+    sim->comm.borders(sim->atom, sim->domain);
+    n.canonical = false;
+    n.build(sim->atom, sim->domain);
+
+    EXPECT_EQ(n.nretries(), 0);
+    EXPECT_EQ(n.list.k_neighbors.d_view.data(), dev_rows);
+    EXPECT_EQ(n.list.k_neighbors.h_view.data(), host_rows);
+    EXPECT_EQ(n.list.k_numneigh.d_view.data(), dev_num);
+
+    // A device reader syncs first and must see the new rows.
+    auto ref = brute_force_list(sim->atom, sim->domain, n.cutghost(),
+                                NeighStyle::Full, false, sim->atom.nlocal);
+    const auto want = rows_sorted(ref);
+    n.list.k_neighbors.sync<kk::Device>();
+    n.list.k_numneigh.sync<kk::Device>();
+    for (localint i = 0; i < n.list.inum; ++i) {
+      std::vector<int> row;
+      for (int c = 0; c < n.list.k_numneigh.d_view(std::size_t(i)); ++c)
+        row.push_back(n.list.k_neighbors.d_view(std::size_t(i), std::size_t(c)));
+      std::sort(row.begin(), row.end());
+      ASSERT_EQ(row, want[std::size_t(i)]) << "device row " << i;
+    }
+    EXPECT_EQ(rows_sorted(n.list), want);
+    expect_partition_matches_rows(n.list);
+  }
+}
+
+// A cold build of the benchmark's droplet (24^3 fcc cells, atoms only in
+// [0, 0.55)^3 of the box, vacuum elsewhere) must fit its first guess: the
+// guess follows the density an average atom sees, not the mean density of
+// the extended region, which the vacuum dilutes to a fraction of the
+// droplet's. (Droplets only a few bins across can still overflow the guess
+// once; docs/NEIGHBOR.md.)
+TEST(Neighbor, ColdGuessFitsVacuumGappedDroplet) {
+  init_all();
+  for (const int nranks : {1, 2}) {
+    simmpi::World world(nranks);
+    std::mutex mu;
+    std::vector<bigint> retries;
+    world.run([&](simmpi::Comm& comm) {
+      Simulation sim;
+      sim.mpi = &comm;
+      sim.thermo.print = false;
+      Input in(sim);
+      in.line("units lj");
+      in.line("lattice fcc 0.8442");
+      in.line("create_atoms 24 24 24 jitter 0.02 771 region 0 0.55 0 0.55 0 0.55");
+      in.line("mass 1 1.0");
+      in.line("suffix kk");
+      in.line("pair_style lj/cut 2.5");
+      in.line("pair_coeff * * 1.0 1.0");
+      in.line("run 0");
+      const auto& n = sim.neighbor;
+      auto ref = brute_force_list(sim.atom, sim.domain, n.cutghost(), n.style,
+                                  n.newton, sim.atom.nlocal);
+      std::lock_guard<std::mutex> lk(mu);
+      retries.push_back(n.nretries());
+      EXPECT_GT(sim.atom.nlocal, 0) << nranks << " ranks";
+      EXPECT_EQ(rows_sorted(n.list), rows_sorted(ref)) << nranks << " ranks";
+    });
+    for (const bigint r : retries) EXPECT_EQ(r, 0) << nranks << " ranks";
+  }
 }
 
 // --- Rebuild trigger: every / delay / check + dangerous builds ------------

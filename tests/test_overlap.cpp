@@ -57,12 +57,16 @@ void expect_bitwise(const Snapshot& a, const Snapshot& b) {
 TEST(NeighborPartition, InteriorPlusBoundaryCoversOwnedRows) {
   auto sim = make_lj_system(3, 0.8442, 0.05, "lj/cut/kk");
   sim->setup();
-  const NeighborList& l = sim->neighbor.list;
+  NeighborList& l = sim->neighbor.list;
   EXPECT_EQ(l.ninterior + l.nboundary, l.inum);
   // Serial box: every atom has ghost neighbors from the periodic images, so
   // the partition must find boundary rows; a 3-cell box also keeps interior
   // rows... validate the defining property row by row instead of counts.
   std::vector<char> seen(std::size_t(l.inum), 0);
+  l.k_neighbors.sync<kk::Host>();
+  l.k_numneigh.sync<kk::Host>();
+  l.k_interior.sync<kk::Host>();
+  l.k_boundary.sync<kk::Host>();
   const auto neigh = l.k_neighbors.h_view;
   const auto num = l.k_numneigh.h_view;
   auto row_is_interior = [&](localint i) {
